@@ -42,7 +42,6 @@ use muir_rtl::cost::{estimate, Tech};
 use muir_uopt::passes::{ExecutionTiling, MemoryLocalization, OpFusion, TaskFilter};
 use muir_uopt::PassManager;
 use muir_workloads as workloads;
-use muir_workloads::by_name;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -135,7 +134,7 @@ fn main() {
             .nth(3)
             .and_then(|s| s.parse().ok())
             .unwrap_or(50);
-        let w = by_name(&name).expect("workload");
+        let w = workload(&name);
         let acc = baseline(&w);
         let comp = muir_core::compiled::CompiledAccel::compile_cached(&acc).unwrap();
         let cfg = muir_sim::SimConfig::default();
@@ -394,7 +393,7 @@ fn dse(names: &[String], params: &muir_bench::dse::DseParams, store: Option<&str
         "Bench", "cand", "arts", "hits", "sim", "front"
     );
     for name in names {
-        let w = by_name(name).unwrap_or_else(|| panic!("unknown workload `{name}`"));
+        let w = workload(name);
         let (front, stats) = explore(&w, params, store_root);
         let best = front.front.first().copied().unwrap_or((0, 0));
         println!(
@@ -621,10 +620,7 @@ fn metrics(name: &str, outdir: &str) {
     use muir_core::telemetry;
     use muir_store::Store;
 
-    let Some(w) = by_name(name) else {
-        eprintln!("unknown workload `{name}`");
-        std::process::exit(2);
-    };
+    let w = workload(name);
     hdr(&format!(
         "Telemetry capture: {} through the eval service",
         w.name
@@ -796,10 +792,10 @@ fn stats_report() {
     let root = std::path::Path::new("target/stats-store");
     let _ = std::fs::remove_dir_all(root);
 
-    let w = by_name("GEMM").expect("GEMM in suite");
+    let w = workload("GEMM");
     let acc = baseline(&w);
     // A second artifact plus a repeat compile for cache hit/miss traffic.
-    let spmv = baseline(&by_name("SPMV").expect("SPMV in suite"));
+    let spmv = baseline(&workload("SPMV"));
     let _ = CompiledAccel::compile_cached(&spmv).expect("compiles");
     let comp = CompiledAccel::compile_cached(&acc).expect("compiles");
     let _ = CompiledAccel::compile_cached(&acc).expect("compiles");
@@ -887,10 +883,20 @@ fn hdr(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// A registry workload by name, in any case; an unknown name exits 2
+/// with the list of valid names.
+fn workload(name: &str) -> workloads::Workload {
+    workloads::resolve(name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// `profile <workload> [outdir]`: trace the baseline accelerator, write the
 /// Chrome/Perfetto + VCD artifacts, and print the bottleneck report.
 fn profile(name: &str, outdir: &str) {
-    let art = muir_bench::profile::profile_workload(name);
+    let w = workload(name);
+    let art = muir_bench::profile::profile_workload(w.name);
     hdr(&format!("Profile: {} (baseline accelerator)", art.workload));
     println!(
         "cycles: {} untraced / {} traced (perturbation: {})",
@@ -909,7 +915,6 @@ fn profile(name: &str, outdir: &str) {
     );
 
     hdr("Scheduler cost: Dense scan vs Ready set (untraced baseline)");
-    let w = by_name(name).expect("workload exists: profile_workload ran it");
     let row = muir_bench::sched::bench_workload(&w, 3);
     println!(
         "wall-time: {:.3} ms dense / {:.3} ms ready ({:.2}x); \
@@ -953,10 +958,7 @@ fn bench(quick: bool, out: &str) {
         if quick { "quick" } else { "full" }
     ));
     let ws: Vec<workloads::Workload> = if quick {
-        sched::QUICK_SET
-            .iter()
-            .map(|n| by_name(n).expect("quick-set workload"))
-            .collect()
+        sched::QUICK_SET.iter().map(|n| workload(n)).collect()
     } else {
         workloads::all()
     };
@@ -1322,7 +1324,7 @@ fn fig9() {
         "SOFTM16",
     ];
     for name in names {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         let (uir, hls) = fig9_point(&w);
         println!(
             "{:>10}: {:.3}   (uir {:.1} us, hls {:.1} us)",
@@ -1338,7 +1340,7 @@ fn fig9() {
 fn fig11() {
     hdr("Figure 11: execution-time reduction from op-fusion (baseline = 1)");
     for name in ["FFT", "SPMV", "COVAR", "SAXPY", "RGB2YUV"] {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         let (base, opt) = fig11_point(&w);
         println!(
             "{:>10}: {:.3}   ({} -> {} cycles, {:.2}x)",
@@ -1359,7 +1361,7 @@ fn fig12() {
         "Bench", "1T", "2T", "4T", "8T"
     );
     for name in ["STENCIL", "SAXPY", "IMG-SCALE", "FIB", "M-SORT"] {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         let sweep = fig12_sweep(&w);
         let c1 = sweep[0].1 as f64;
         print!("{name:>10}:");
@@ -1387,7 +1389,7 @@ fn fig15() {
     }
     println!("  -- lane-lowering ablation (same graph, scalar lanes) --");
     for name in ["RELU[T]", "2MM[T]", "CONV[T]"] {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         let (native, lowered) = muir_bench::fig15_lowering_ablation(&w);
         println!(
             "{:>10}: tensor {} vs lane-lowered {} cycles ({:.2}x)",
@@ -1404,7 +1406,7 @@ fn fig16() {
     hdr("Figure 16: normalized execution vs cache banks (1B = 1)");
     println!("{:>10}: {:>6} {:>6} {:>6}", "Bench", "1B", "2B", "4B");
     for name in ["GEMM", "FFT", "2MM", "3MM", "SAXPY", "CONV"] {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         let sweep = fig16_sweep(&w);
         let c1 = sweep[0].1 as f64;
         print!("{name:>10}:");
@@ -1435,7 +1437,7 @@ fn fig17() {
         "SOFTM16",
     ];
     for name in names {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         let acc = baseline(&w);
         let base = run_verified(&w, &acc).cycles;
         let (opt_acc, _) = optimized(&w, &full_stack(w.class));
@@ -1467,7 +1469,7 @@ fn fig18() {
         "CONV[T]",
     ];
     for name in names {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         let (acc_us, cpu_us) = fig18_point(&w);
         println!(
             "{:>10}: {:>6.2}x   (accel {:.1} us vs cpu {:.1} us)",
@@ -1487,7 +1489,7 @@ fn table4() {
         "Bench", "tile 1->2 (u|F)", "add SRAM (u|F)", "fusion (u|F)", "size x"
     );
     for name in ["SAXPY", "STENCIL", "IMG-SCALE"] {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         let acc = baseline(&w);
 
         // muIR deltas from the actual passes.
@@ -1576,7 +1578,7 @@ fn fig1_table3() {
     let fuse_best = ["FFT", "SPMV", "COVAR", "SAXPY", "RGB2YUV"]
         .iter()
         .map(|n| {
-            let w = by_name(n).unwrap();
+            let w = workload(n);
             let (b, o) = fig11_point(&w);
             b as f64 / o as f64
         })
@@ -1586,7 +1588,7 @@ fn fig1_table3() {
     let tile_best = ["STENCIL", "IMG-SCALE", "FIB", "M-SORT"]
         .iter()
         .map(|n| {
-            let w = by_name(n).unwrap();
+            let w = workload(n);
             let sweep = fig12_sweep(&w);
             sweep[0].1 as f64 / sweep.iter().map(|(_, c)| *c).min().unwrap() as f64
         })
@@ -1605,7 +1607,7 @@ fn fig1_table3() {
     let local_best = ["SPMV", "CONV", "SAXPY", "COVAR"]
         .iter()
         .map(|n| {
-            let w = by_name(n).unwrap();
+            let w = workload(n);
             let (b, o) = localization_point(&w);
             b as f64 / o as f64
         })
@@ -1620,7 +1622,7 @@ fn ablations() {
     println!(" provide the decoupling Pass 1 adds explicitly; spawns complete at");
     println!(" enqueue, so parents rarely block on child queues at these rates)");
     for name in ["SAXPY", "M-SORT"] {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         let sweep = muir_bench::ablation_queue_depth(&w, &[1, 2, 4, 8, 16]);
         print!("{name:>10}:");
         for (d, c) in sweep {
@@ -1630,7 +1632,7 @@ fn ablations() {
     }
     hdr("Ablation: fusion clock-period budget (cycles @ fmax)");
     for name in ["RGB2YUV", "COVAR"] {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         print!("{name:>10}:");
         for (p, c, f) in muir_bench::ablation_fusion_period(&w, &[1.5, 2.5, 4.0, 8.0]) {
             print!("  {p}ns:{c}cy@{f:.0}MHz");
@@ -1639,7 +1641,7 @@ fn ablations() {
     }
     hdr("Ablation: scratchpad banking after localization");
     for name in ["FFT", "STENCIL", "RELU[T]"] {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         print!("{name:>10}:");
         for (b, c) in muir_bench::ablation_spad_banking(&w, &[1, 2, 4, 8]) {
             print!("  {b}B={c}");
@@ -1648,7 +1650,7 @@ fn ablations() {
     }
     hdr("Ablation: databox entries x elastic channel depth");
     for name in ["SPMV", "CONV"] {
-        let w = by_name(name).unwrap();
+        let w = workload(name);
         print!("{name:>10}:");
         for (d, e, c) in
             muir_bench::ablation_sim_buffers(&w, &[(1, 1), (2, 2), (4, 4), (8, 8), (16, 16)])

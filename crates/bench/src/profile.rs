@@ -11,7 +11,7 @@
 
 use crate::{baseline, full_stack, optimized};
 use muir_sim::{simulate, BottleneckReport, SimConfig, SimProfile, Trace, TraceConfig};
-use muir_workloads::by_name;
+use muir_workloads::resolve;
 
 /// Everything `bench profile` produced for one workload.
 pub struct ProfileArtifacts {
@@ -42,9 +42,8 @@ pub struct ProfileArtifacts {
 /// Panics on an unknown workload, simulation failure, or — the
 /// observability contract — if tracing perturbed the cycle count.
 pub fn profile_workload(name: &str) -> ProfileArtifacts {
-    let canonical = name.to_uppercase();
-    let w = by_name(&canonical)
-        .unwrap_or_else(|| panic!("unknown workload `{name}` (try e.g. GEMM, SAXPY, FFT)"));
+    let w = resolve(name).unwrap_or_else(|e| panic!("{e}"));
+    let canonical = w.name.to_string();
     let acc = baseline(&w);
 
     let mut mem = w.fresh_memory();

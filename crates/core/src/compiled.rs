@@ -695,18 +695,37 @@ impl ContentHasher {
     }
 
     /// Absorb raw bytes (little-endian packed into 64-bit words).
+    ///
+    /// Equivalent to packing one byte at a time: the partial word left
+    /// by earlier calls is topped up first, whole words are then
+    /// absorbed straight from the slice, and the tail is buffered.
     pub fn push(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.pending |= u64::from(b) << (8 * self.npending);
-            self.npending += 1;
-            if self.npending == 8 {
-                let w = self.pending;
-                self.pending = 0;
-                self.npending = 0;
-                self.absorb(w);
-            }
-        }
         self.len += bytes.len() as u64;
+        let mut rest = bytes;
+        if self.npending > 0 {
+            let take = rest.len().min(8 - self.npending as usize);
+            for &b in &rest[..take] {
+                self.pending |= u64::from(b) << (8 * self.npending);
+                self.npending += 1;
+            }
+            rest = &rest[take..];
+            if self.npending < 8 {
+                return;
+            }
+            let w = self.pending;
+            self.pending = 0;
+            self.npending = 0;
+            self.absorb(w);
+        }
+        let words = rest.chunks_exact(8);
+        let tail = words.remainder();
+        for w in words {
+            self.absorb(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for (i, &b) in tail.iter().enumerate() {
+            self.pending |= u64::from(b) << (8 * i);
+        }
+        self.npending = tail.len() as u32;
     }
 
     /// Absorb a `u64` as 8 little-endian bytes. Canonical-encoding
@@ -714,7 +733,17 @@ impl ContentHasher {
     /// simulator's config/job/result hashes, the μopt `PassConfig`
     /// dedup hash, the store's result keys).
     pub fn push_u64(&mut self, v: u64) {
-        self.push(&v.to_le_bytes());
+        self.len += 8;
+        if self.npending == 0 {
+            self.absorb(v);
+        } else {
+            // The low bytes complete the partial word; the high bytes
+            // become the new partial word.
+            let shift = 8 * self.npending;
+            let w = self.pending | (v << shift);
+            self.pending = v >> (64 - shift);
+            self.absorb(w);
+        }
     }
 
     /// Absorb a length-prefixed string. The prefix makes the encoding

@@ -453,6 +453,34 @@ impl<'m, S: TraceSink> Interp<'m, S> {
         Ok(())
     }
 
+    /// Read one element slot and trace the access.
+    fn load(&mut self, memory: &Memory, obj: MemObjId, a: u64) -> Result<Value, InterpError> {
+        let v = memory.read(obj, a)?;
+        self.sink.event(TraceEvent::mem(
+            OpClass::Load,
+            obj,
+            memory.flat_addr(obj, a),
+        ));
+        Ok(v)
+    }
+
+    /// Write one element slot and trace the access.
+    fn store(
+        &mut self,
+        memory: &mut Memory,
+        obj: MemObjId,
+        a: u64,
+        v: Value,
+    ) -> Result<(), InterpError> {
+        memory.write(obj, a, v)?;
+        self.sink.event(TraceEvent::mem(
+            OpClass::Store,
+            obj,
+            memory.flat_addr(obj, a),
+        ));
+        Ok(())
+    }
+
     #[allow(clippy::too_many_lines)]
     fn exec_from(
         &mut self,
@@ -460,16 +488,19 @@ impl<'m, S: TraceSink> Interp<'m, S> {
         start: BlockId,
         memory: &mut Memory,
     ) -> Result<ExecEnd, InterpError> {
+        // The function outlives the frame borrow, so blocks and
+        // instructions are read in place while the frame's values change.
+        let func = frame.func;
         let mut cur = start;
         let mut prev: Option<BlockId> = None;
+        let mut phi_updates: Vec<(InstrId, Value)> = Vec::new();
         'blocks: loop {
-            self.sink.block(&frame.func.name, cur);
+            self.sink.block(&func.name, cur);
             // φ nodes read their incoming values as-of block entry, in
             // parallel, before any instruction of the block executes.
-            let block = frame.func.block(cur);
-            let mut phi_updates: Vec<(InstrId, Value)> = Vec::new();
+            let block = func.block(cur);
             for &iid in &block.instrs {
-                let instr = frame.func.instr(iid);
+                let instr = func.instr(iid);
                 if let Op::Phi { preds } = &instr.op {
                     let p = prev.ok_or_else(|| ierr(format!("{iid}: phi in entry block")))?;
                     let slot = preds
@@ -481,15 +512,14 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                     break;
                 }
             }
-            for (iid, v) in phi_updates {
+            for (iid, v) in phi_updates.drain(..) {
                 frame.values[iid.0 as usize] = Some(v);
                 self.burn(1)?;
                 self.sink.event(TraceEvent::compute(OpClass::IntAlu));
             }
 
-            let instrs: Vec<InstrId> = block.instrs.clone();
-            for &iid in &instrs {
-                let instr = frame.func.instr(iid).clone();
+            for &iid in &block.instrs {
+                let instr = func.instr(iid);
                 if matches!(instr.op, Op::Phi { .. }) {
                     continue;
                 }
@@ -540,33 +570,32 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                             return Err(ierr(format!("{iid}: negative load index")));
                         }
                         let ty = instr.ty.ok_or_else(|| ierr("untyped load"))?;
-                        let n = ty.elems() as u64;
-                        let mut slots = Vec::with_capacity(n as usize);
-                        for k in 0..n {
-                            let a = idx as u64 + k;
-                            slots.push(memory.read(*obj, a)?);
-                            self.sink.event(TraceEvent::mem(
-                                OpClass::Load,
-                                *obj,
-                                memory.flat_addr(*obj, a),
-                            ));
-                        }
-                        frame.values[iid.0 as usize] = Some(Value::assemble(ty, slots));
+                        let base = idx as u64;
+                        // Scalars skip the slot vector: one allocation per
+                        // load would dominate the interpreter's memory ops.
+                        let v = if ty.is_composite() {
+                            let slots = (base..base + u64::from(ty.elems()))
+                                .map(|a| self.load(memory, *obj, a))
+                                .collect::<Result<Vec<_>, _>>()?;
+                            Value::assemble(ty, slots)
+                        } else {
+                            self.load(memory, *obj, base)?
+                        };
+                        frame.values[iid.0 as usize] = Some(v);
                     }
                     Op::Store { obj } => {
                         let idx = frame.get(&instr.operands[0])?.as_int();
                         if idx < 0 {
                             return Err(ierr(format!("{iid}: negative store index")));
                         }
-                        let v = frame.get(&instr.operands[1])?;
-                        for (k, slot) in v.flatten().into_iter().enumerate() {
-                            let a = idx as u64 + k as u64;
-                            memory.write(*obj, a, slot)?;
-                            self.sink.event(TraceEvent::mem(
-                                OpClass::Store,
-                                *obj,
-                                memory.flat_addr(*obj, a),
-                            ));
+                        let base = idx as u64;
+                        match frame.get(&instr.operands[1])? {
+                            Value::Vector(slots) | Value::Tensor { data: slots, .. } => {
+                                for (a, slot) in (base..).zip(slots) {
+                                    self.store(memory, *obj, a, slot)?;
+                                }
+                            }
+                            scalar => self.store(memory, *obj, base, scalar)?,
                         }
                     }
                     Op::Tensor(op, _shape) => {

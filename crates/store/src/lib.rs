@@ -50,6 +50,7 @@ use muir_sim::SimConfig;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The key of one memoized result: which artifact, which job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,8 +117,11 @@ pub struct Store {
     disabled: Option<String>,
     injector: Injector,
     stats: StoreStats,
-    tmp_counter: u64,
 }
+
+/// Sequence for temp-file names, shared by every [`Store`] handle in the
+/// process: two handles on one root never pick the same temp name.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl Store {
     /// Open (creating if needed) a store rooted at `root`. Never fails:
@@ -147,7 +151,6 @@ impl Store {
             disabled,
             injector: Injector::new(&faults),
             stats,
-            tmp_counter: 0,
         }
     }
 
@@ -232,11 +235,10 @@ impl Store {
             let cut = 8 + self.injector.below(sealed.len() as u64 - 8) as usize;
             sealed.truncate(cut);
         }
-        self.tmp_counter += 1;
         let tmp = self.root.join("tmp").join(format!(
             "{}-{:x}.tmp",
             std::process::id(),
-            self.tmp_counter
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let io_err = |op: &'static str, path: &Path, e: std::io::Error| StoreError::Io {
             op,

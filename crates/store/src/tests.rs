@@ -246,3 +246,52 @@ fn traced_configs_are_not_memoizable() {
     cfg.trace.enabled = true;
     assert!(!memoizable(&cfg));
 }
+
+#[test]
+fn two_handles_on_one_root_write_concurrently() {
+    const PER_THREAD: u64 = 40;
+    let root = test_root("two-handles");
+    let (comp, _cfg, eval) = sample_eval();
+    let artifact = comp.content_hash();
+    let key = |lane: u64, i: u64| ResultKey {
+        artifact,
+        job: lane * 1000 + i,
+    };
+    // Each handle writes its own keys with its own contents, both
+    // released at once; temp names shared between handles would let one
+    // writer publish the other's bytes, or lose a rename.
+    let start = std::sync::Barrier::new(2);
+    let stats: Vec<StoreStats> = std::thread::scope(|s| {
+        let writers: Vec<_> = [1, 2]
+            .map(|lane| {
+                let (root, eval, start) = (&root, &eval, &start);
+                s.spawn(move || {
+                    let mut store = Store::open(root);
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        let mut e = eval.clone();
+                        e.result.cycles = lane * 1000 + i;
+                        store.put_result(key(lane, i), &e).expect("put");
+                    }
+                    store.stats()
+                })
+            })
+            .into();
+        writers
+            .into_iter()
+            .map(|w| w.join().expect("writer"))
+            .collect()
+    });
+    for s in stats {
+        assert_eq!((s.result_puts, s.put_errors), (PER_THREAD, 0));
+    }
+    let mut store = Store::open(&root);
+    for lane in [1, 2] {
+        for i in 0..PER_THREAD {
+            let got = store.get_result(key(lane, i)).unwrap().expect("written");
+            assert_eq!(got.result.cycles, lane * 1000 + i, "lane {lane} #{i}");
+        }
+    }
+    assert_eq!(store.stats().quarantined, 0);
+    let _ = fs::remove_dir_all(&root);
+}

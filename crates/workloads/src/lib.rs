@@ -324,12 +324,47 @@ pub fn names() -> Vec<&'static str> {
     REGISTRY.iter().map(|e| e.name).collect()
 }
 
-/// Look up a benchmark by its paper name (builds only that workload).
+/// Look up a benchmark by its paper name, ignoring ASCII case (builds
+/// only that workload).
 pub fn by_name(name: &str) -> Option<Workload> {
+    resolve(name).ok()
+}
+
+/// A workload name that matches no registry entry (`E-WORKLOAD-UNKNOWN`).
+/// Its message lists every valid name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownWorkload {
+    /// The name as given.
+    pub name: String,
+}
+
+impl std::fmt::Display for UnknownWorkload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "E-WORKLOAD-UNKNOWN: no workload named `{}`; valid names: {}",
+            self.name,
+            names().join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownWorkload {}
+
+/// Resolve a user-supplied workload name, ignoring ASCII case (`gemm`
+/// is `GEMM`), and build that workload. Every command-line lookup goes
+/// through here.
+///
+/// # Errors
+/// [`UnknownWorkload`] when no registry name matches.
+pub fn resolve(name: &str) -> Result<Workload, UnknownWorkload> {
     REGISTRY
         .iter()
-        .find(|e| e.name == name)
+        .find(|e| e.name.eq_ignore_ascii_case(name))
         .map(|e| (e.build)())
+        .ok_or_else(|| UnknownWorkload {
+            name: name.to_string(),
+        })
 }
 
 /// All benchmarks of one family.
@@ -433,5 +468,18 @@ mod tests {
         assert!(by_name("GEMM").is_some());
         assert!(by_name("2MM[T]").is_some());
         assert!(by_name("NOPE").is_none());
+    }
+
+    #[test]
+    fn resolve_ignores_case_and_lists_names_on_error() {
+        assert_eq!(resolve("gemm").map(|w| w.name), Ok("GEMM"));
+        assert_eq!(resolve("mt-infer").map(|w| w.name), Ok("MT-INFER"));
+        let err = resolve("nope").map(|w| w.name).unwrap_err();
+        assert_eq!(err.name, "nope");
+        let msg = err.to_string();
+        assert!(msg.starts_with("E-WORKLOAD-UNKNOWN"), "{msg}");
+        for n in names() {
+            assert!(msg.contains(n), "{msg} lacks {n}");
+        }
     }
 }

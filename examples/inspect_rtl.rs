@@ -21,8 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "SAXPY".to_string());
-    let w = workloads::by_name(&name)
-        .ok_or_else(|| format!("unknown workload `{name}`; try GEMM, FFT, 2MM[T], ..."))?;
+    let w = workloads::resolve(&name).map_err(|e| e.to_string())?;
     let acc = translate(&w.module, &FrontendConfig::default())?;
 
     if want_dot {
@@ -31,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let s = graph_stats(&acc);
-    println!("workload {name}:");
+    println!("workload {}:", w.name);
     println!(
         "  muIR graph: {} tasks, {} nodes, {} edges, {} junctions, depth {}",
         s.tasks, s.nodes, s.edges, s.junctions, s.pipeline_depth
