@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p muir-bench --bin experiments [all|fig1|table2|fig9|
-//!     table3|fig11|fig12|fig15|fig16|fig17|fig18|table4|faults|--selftest|
+//!     table3|fig11|fig12|fig15|fig16|fig17|fig18|table4|ablations|faults|--selftest|
 //!     profile <workload> [outdir]|trace-schema [schema.json]|
 //!     bench [--quick] [out.json]|fuzz [--tensor] [--graphs N] [--seed S]|
 //!     tensor <file>|--builtin <name>|--gate|
@@ -10,7 +10,7 @@
 //!     dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
 //!         [--out PATH] [--store DIR]|
 //!     serve [store-root]|store-stats [store-root]|store-campaign [root]|
-//!     metrics <workload> [outdir]|stats]
+//!     compile-stats|metrics <workload> [outdir]|stats]
 //! ```
 //!
 //! `faults` runs the differential fault-injection campaign (see
@@ -43,8 +43,47 @@ use muir_uopt::passes::{ExecutionTiling, MemoryLocalization, OpFusion, TaskFilte
 use muir_uopt::PassManager;
 use muir_workloads as workloads;
 
+/// Every subcommand `main` dispatches on; anything else exits 2.
+const SUBCOMMANDS: &[&str] = &[
+    "all",
+    "fig1",
+    "table2",
+    "fig9",
+    "table3",
+    "fig11",
+    "fig12",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "table4",
+    "ablations",
+    "faults",
+    "--selftest",
+    "profile",
+    "trace-schema",
+    "compile-stats",
+    "bench",
+    "fuzz",
+    "tensor",
+    "soak",
+    "dse",
+    "serve",
+    "store-stats",
+    "store-campaign",
+    "metrics",
+    "stats",
+];
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
+    if !SUBCOMMANDS.contains(&which.as_str()) {
+        eprintln!(
+            "experiments: unknown subcommand `{which}`; valid subcommands: {}",
+            SUBCOMMANDS.join(" ")
+        );
+        std::process::exit(2);
+    }
     if which == "--selftest" {
         selftest();
         return;

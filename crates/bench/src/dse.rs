@@ -191,14 +191,20 @@ pub fn explore(
     // Lower every sampled config to a sealed artifact and group the
     // candidates by artifact content hash (BTreeMap: deterministic
     // evaluation order). Configs whose passes are no-ops on this
-    // workload collapse onto the baseline artifact here.
+    // workload collapse onto the baseline artifact here. Translation
+    // depends on the workload alone, so it runs once and every
+    // candidate's pass pipeline rewrites a clone of the baseline.
     let mut groups: BTreeMap<u64, (Arc<CompiledAccel>, Vec<usize>)> = BTreeMap::new();
     let mut lowered: Vec<(u64, PassConfig, u64)> = Vec::with_capacity(indices.len());
     {
         let _s = telemetry::span("dse", "dse.lower");
+        let baseline = crate::baseline(w);
         for (slot, &i) in indices.iter().enumerate() {
             let cfg = space.nth(i);
-            let (acc, _) = crate::optimized(w, &cfg.pipeline());
+            let mut acc = baseline.clone();
+            cfg.pipeline()
+                .run(&mut acc)
+                .unwrap_or_else(|e| panic!("{} candidate {i}: {e}", w.name));
             let comp = CompiledAccel::compile_cached(&acc)
                 .unwrap_or_else(|e| panic!("{} candidate {i}: {e}", w.name));
             let art = comp.content_hash();
@@ -222,6 +228,7 @@ pub fn explore(
         artifacts: groups.len() as u64,
         ..DseStats::default()
     };
+    let fresh = w.fresh_memory();
     let mut evaluated: Vec<Option<Measured>> = vec![None; indices.len()];
     {
         let _s = telemetry::span("dse", "dse.evaluate");
@@ -240,7 +247,7 @@ pub fn explore(
                 svc.submit(EvalJob {
                     cfg: SimConfig::default(),
                     args: Vec::new(),
-                    mem: w.fresh_memory(),
+                    mem: fresh.clone(),
                 });
             }
             let outcomes = svc.drain();

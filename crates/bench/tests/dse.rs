@@ -8,9 +8,11 @@
 //! 2. **report determinism** — same seed ⇒ byte-identical report across
 //!    worker-thread counts and store temperature, with a warm sweep
 //!    served entirely from the store (the PR 6 gate, now for DSE);
-//! 3. **candidate honesty** — what the report records via the eval
-//!    service matches a cold `simulate_compiled` re-run of the same
-//!    config, cycle for cycle and end-state hash for end-state hash;
+//! 3. **candidate honesty** — every explored candidate seals to the
+//!    artifact a fresh translate of its config seals to, and what the
+//!    report records via the eval service matches a cold
+//!    `simulate_compiled` re-run of the same config, cycle for cycle and
+//!    end-state hash for end-state hash;
 //! 4. **the conv1d example's pinned sweep** recovers its known 10-point
 //!    front exactly.
 
@@ -114,42 +116,57 @@ fn report_is_byte_identical_across_threads_and_store_temperature() {
 // 3. Candidate honesty: the report vs a cold standalone re-run
 // ---------------------------------------------------------------------------
 
+/// `explore` translates each workload once and rewrites clones of that
+/// baseline. Every candidate must seal to the artifact the independent
+/// `muir_bench::optimized` path (a fresh translate per config) seals to,
+/// across a loop nest, a Cilk spawn workload and two tensor families.
+/// A seeded sample is also simulated cold outside the service.
 #[test]
 fn candidates_are_honest_against_cold_simulation() {
-    let w = by_name("SOFTM8").expect("suite workload");
     let params = DseParams {
         seed: 0x40e57,
         budget: 6,
         threads: 1,
     };
-    let (front, _) = explore(&w, &params, None);
     let space = PassSpace::full();
-    // A seeded sample of explored candidates, re-run cold outside the
-    // service: the report's numbers must be what anyone re-deriving the
-    // config from its index would measure.
-    let mut rng = SplitMix64::salted(params.seed, 0x40e57e);
-    for _ in 0..3 {
-        let c: &Candidate = &front.candidates[rng.below(front.candidates.len() as u64) as usize];
-        let cfg = space.nth(c.index);
-        assert_eq!(cfg.config_hash(), c.config_hash, "index {} config", c.index);
-        let (acc, _) = muir_bench::optimized(&w, &cfg.pipeline());
-        let comp = muir_core::compiled::CompiledAccel::compile_cached(&acc).expect("verifies");
-        assert_eq!(
-            comp.content_hash(),
-            c.artifact,
-            "index {} artifact",
-            c.index
-        );
-        let mut mem = w.fresh_memory();
-        let r = muir_sim::simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
-            .expect("simulates");
-        assert_eq!(r.cycles, c.cycles, "index {} cycles", c.index);
-        assert_eq!(
-            muir_sim::end_state_hash(&r, &mem),
-            c.end_state,
-            "index {} end state",
-            c.index
-        );
+    for name in ["SOFTM8", "2MM", "M-SORT", "ATTN"] {
+        let w = by_name(name).expect("suite workload");
+        let (front, _) = explore(&w, &params, None);
+        for c in &front.candidates {
+            let cfg = space.nth(c.index);
+            assert_eq!(
+                cfg.config_hash(),
+                c.config_hash,
+                "{name} index {} config",
+                c.index
+            );
+            let (acc, _) = muir_bench::optimized(&w, &cfg.pipeline());
+            assert_eq!(
+                muir_core::compiled::content_hash(&acc),
+                c.artifact,
+                "{name} index {} artifact",
+                c.index
+            );
+        }
+        // The report's numbers must be what anyone re-deriving the
+        // config from its index would measure.
+        let mut rng = SplitMix64::salted(params.seed, 0x40e57e);
+        for _ in 0..2 {
+            let c: &Candidate =
+                &front.candidates[rng.below(front.candidates.len() as u64) as usize];
+            let (acc, _) = muir_bench::optimized(&w, &space.nth(c.index).pipeline());
+            let comp = muir_core::compiled::CompiledAccel::compile_cached(&acc).expect("verifies");
+            let mut mem = w.fresh_memory();
+            let r = muir_sim::simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
+                .expect("simulates");
+            assert_eq!(r.cycles, c.cycles, "{name} index {} cycles", c.index);
+            assert_eq!(
+                muir_sim::end_state_hash(&r, &mem),
+                c.end_state,
+                "{name} index {} end state",
+                c.index
+            );
+        }
     }
 }
 

@@ -35,7 +35,6 @@ use crate::verify::{verify_accelerator, GraphError};
 use muir_mir::instr::BinOp;
 use muir_mir::value::Value;
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Dense micro-op opcode: what a node *does*, reduced to a `u8` so the
@@ -440,8 +439,15 @@ impl CompiledAccel {
     /// # Errors
     /// The graph's first structural violation, if any.
     pub fn compile(acc: &Accelerator) -> Result<CompiledAccel, GraphError> {
+        CompiledAccel::compile_hashed(acc, content_hash(acc))
+    }
+
+    /// [`CompiledAccel::compile`] for an `acc` whose [`content_hash`] is
+    /// already known: [`CompiledAccel::compile_cached`] computes it for
+    /// its cache probe and hands it on instead of rendering the graph a
+    /// second time.
+    fn compile_hashed(acc: &Accelerator, hash: u64) -> Result<CompiledAccel, GraphError> {
         verify_accelerator(acc)?;
-        let hash = content_hash(acc);
         let t0 = telemetry::enabled().then(std::time::Instant::now);
         let mut tasks: Vec<CompiledTask> = acc
             .task_ids()
@@ -506,7 +512,7 @@ impl CompiledAccel {
         let compiled = {
             let _span = telemetry::span("compile", "compile.lower");
             let t0 = telemetry::enabled().then(std::time::Instant::now);
-            let compiled = Arc::new(CompiledAccel::compile(acc)?);
+            let compiled = Arc::new(CompiledAccel::compile_hashed(acc, hash)?);
             if let Some(t0) = t0 {
                 telemetry::observe(
                     "compile.lower_us",
@@ -772,13 +778,6 @@ impl ContentHasher {
     }
 }
 
-impl std::fmt::Write for ContentHasher {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.push(s.as_bytes());
-        Ok(())
-    }
-}
-
 /// The stable content hash of an accelerator's canonical form.
 ///
 /// The canonical form is the graph's full structural rendering — every
@@ -787,11 +786,15 @@ impl std::fmt::Write for ContentHasher {
 /// identical (`Accelerator` equality). Used as the compile-cache key and
 /// by the pass-idempotence and artifact-determinism gates.
 pub fn content_hash(acc: &Accelerator) -> u64 {
-    let mut h = ContentHasher::new();
     // `Debug` over the arena-ordered structs is a total, deterministic
     // rendering of every semantic field, and tracks field additions
     // automatically (a hand-rolled field visitor would silently go stale).
-    let _ = write!(h, "{acc:?}");
+    // The text is rendered whole and then hashed in one push: the hasher
+    // streams, so the value is the same as feeding it fragment by
+    // fragment, and it absorbs one long buffer a word at a time.
+    let text = format!("{acc:?}");
+    let mut h = ContentHasher::new();
+    h.push(text.as_bytes());
     h.finish()
 }
 

@@ -13,6 +13,7 @@ use crate::module::{Function, Module};
 use crate::trace::{NullSink, OpClass, TraceEvent, TraceSink};
 use crate::types::Type;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Interpreter failure.
@@ -352,14 +353,22 @@ struct Frame<'f> {
 }
 
 impl<'f> Frame<'f> {
-    fn get(&self, r: &ValueRef) -> Result<Value, InterpError> {
+    /// An operand in place: instruction results and arguments are
+    /// borrowed, only constants are built.
+    fn get_ref(&self, r: &ValueRef) -> Result<Cow<'_, Value>, InterpError> {
         match r {
             ValueRef::Instr(id) => self.values[id.0 as usize]
-                .clone()
+                .as_ref()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| ierr(format!("use of unevaluated {id}"))),
-            ValueRef::Arg(n) => Ok(self.args[*n as usize].clone()),
-            ValueRef::Const(c) => Ok(const_value(*c)),
+            ValueRef::Arg(n) => Ok(Cow::Borrowed(&self.args[*n as usize])),
+            ValueRef::Const(c) => Ok(Cow::Owned(const_value(*c))),
         }
+    }
+
+    /// An operand the caller keeps (φ updates, call arguments, returns).
+    fn get(&self, r: &ValueRef) -> Result<Value, InterpError> {
+        self.get_ref(r).map(Cow::into_owned)
     }
 }
 
@@ -526,13 +535,13 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                 self.burn(1)?;
                 match &instr.op {
                     Op::Bin(op) => {
-                        let a = frame.get(&instr.operands[0])?;
-                        let b = frame.get(&instr.operands[1])?;
+                        let a = frame.get_ref(&instr.operands[0])?;
+                        let b = frame.get_ref(&instr.operands[1])?;
                         self.sink.event(TraceEvent::compute(classify_bin(*op)));
                         frame.values[iid.0 as usize] = Some(eval_bin(*op, &a, &b)?);
                     }
                     Op::Un(op) => {
-                        let a = frame.get(&instr.operands[0])?;
+                        let a = frame.get_ref(&instr.operands[0])?;
                         let class = match op {
                             UnOp::FNeg => OpClass::FpAdd,
                             UnOp::Relu => OpClass::IntAlu,
@@ -542,30 +551,31 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                         frame.values[iid.0 as usize] = Some(eval_un(*op, &a));
                     }
                     Op::Cmp(pred) => {
-                        let a = frame.get(&instr.operands[0])?;
-                        let b = frame.get(&instr.operands[1])?;
+                        let a = frame.get_ref(&instr.operands[0])?;
+                        let b = frame.get_ref(&instr.operands[1])?;
                         self.sink.event(TraceEvent::compute(OpClass::IntAlu));
                         frame.values[iid.0 as usize] = Some(eval_cmp(*pred, &a, &b));
                     }
                     Op::Select => {
-                        let c = frame.get(&instr.operands[0])?;
-                        let a = frame.get(&instr.operands[1])?;
-                        let b = frame.get(&instr.operands[2])?;
+                        let c = frame.get_ref(&instr.operands[0])?;
+                        let a = frame.get_ref(&instr.operands[1])?;
+                        let b = frame.get_ref(&instr.operands[2])?;
                         self.sink.event(TraceEvent::compute(OpClass::IntAlu));
-                        frame.values[iid.0 as usize] = Some(if c.as_bool() { a } else { b });
+                        let v = if c.as_bool() { a } else { b };
+                        frame.values[iid.0 as usize] = Some(v.into_owned());
                     }
                     Op::Cast(op) => {
-                        let a = frame.get(&instr.operands[0])?;
+                        let a = frame.get_ref(&instr.operands[0])?;
                         self.sink.event(TraceEvent::compute(OpClass::IntAlu));
                         let v = match op {
                             CastOp::SiToFp => Value::F32(a.as_int() as f32),
                             CastOp::FpToSi => Value::Int(a.as_f32() as i64),
-                            CastOp::IntResize => a,
+                            CastOp::IntResize => a.into_owned(),
                         };
                         frame.values[iid.0 as usize] = Some(v);
                     }
                     Op::Load { obj } => {
-                        let idx = frame.get(&instr.operands[0])?.as_int();
+                        let idx = frame.get_ref(&instr.operands[0])?.as_int();
                         if idx < 0 {
                             return Err(ierr(format!("{iid}: negative load index")));
                         }
@@ -584,31 +594,35 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                         frame.values[iid.0 as usize] = Some(v);
                     }
                     Op::Store { obj } => {
-                        let idx = frame.get(&instr.operands[0])?.as_int();
+                        let idx = frame.get_ref(&instr.operands[0])?.as_int();
                         if idx < 0 {
                             return Err(ierr(format!("{iid}: negative store index")));
                         }
                         let base = idx as u64;
-                        match frame.get(&instr.operands[1])? {
+                        match &*frame.get_ref(&instr.operands[1])? {
                             Value::Vector(slots) | Value::Tensor { data: slots, .. } => {
                                 for (a, slot) in (base..).zip(slots) {
-                                    self.store(memory, *obj, a, slot)?;
+                                    self.store(memory, *obj, a, slot.clone())?;
                                 }
                             }
-                            scalar => self.store(memory, *obj, base, scalar)?,
+                            scalar => self.store(memory, *obj, base, scalar.clone())?,
                         }
                     }
                     Op::Tensor(op, _shape) => {
-                        let a = frame.get(&instr.operands[0])?;
-                        let b = instr.operands.get(1).map(|o| frame.get(o)).transpose()?;
+                        let a = frame.get_ref(&instr.operands[0])?;
+                        let b = instr
+                            .operands
+                            .get(1)
+                            .map(|o| frame.get_ref(o))
+                            .transpose()?;
                         // The CPU has no tensor unit: a tile op costs its
                         // scalar-equivalent mix (§6.6 "compute density").
-                        let n = match &a {
+                        let n = match &*a {
                             Value::Tensor { shape, .. } => shape.elems() as u64,
                             _ => 1,
                         };
                         let is_float = matches!(
-                            &a,
+                            &*a,
                             Value::Tensor { data, .. } if matches!(data.first(), Some(Value::F32(_)))
                         );
                         let per = match op {
@@ -626,7 +640,7 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                             }));
                         }
                         self.burn(per)?;
-                        frame.values[iid.0 as usize] = Some(eval_tensor(*op, &a, b.as_ref())?);
+                        frame.values[iid.0 as usize] = Some(eval_tensor(*op, &a, b.as_deref())?);
                     }
                     Op::Call { callee } => {
                         let target = self
@@ -653,10 +667,10 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                         continue 'blocks;
                     }
                     Op::CondBr { t, f } => {
-                        let c = frame.get(&instr.operands[0])?;
+                        let c = frame.get_ref(&instr.operands[0])?.as_bool();
                         self.sink.event(TraceEvent::compute(OpClass::Branch));
                         prev = Some(cur);
-                        cur = if c.as_bool() { *t } else { *f };
+                        cur = if c { *t } else { *f };
                         continue 'blocks;
                     }
                     Op::Ret => {

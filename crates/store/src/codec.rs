@@ -9,8 +9,12 @@
 //! struct dump: floats round-trip exactly via their bit pattern
 //! (`f<8 hex>`), every collection is length-prefixed, and a reader
 //! rejects rather than guesses on any mismatch — decode failures map to
-//! `E-STORE-DECODE` and quarantine the entry. Value tokens contain no
-//! whitespace, so lists are space-separated:
+//! `E-STORE-DECODE` and quarantine the entry. The reader makes one pass
+//! over the bytes and accepts only what the encoder writes: numbers in
+//! canonical decimal (no sign on counts, no leading zeros, no `-0`),
+//! lowercase hex, `\n` after every line and nothing after the last
+//! object. Value tokens contain no whitespace, so lists are
+//! space-separated:
 //!
 //! ```text
 //! b0 / b1        boolean
@@ -97,179 +101,6 @@ fn put_value(out: &mut String, v: &Value) {
     }
 }
 
-/// Recursive-descent token parser over bytes; `pos` advances past the
-/// parsed token.
-fn take_value(s: &[u8], pos: &mut usize) -> Result<Value, DecodeError> {
-    let start = *pos;
-    match s.get(*pos) {
-        Some(b'b') => {
-            *pos += 1;
-            match s.get(*pos) {
-                Some(b'0') => {
-                    *pos += 1;
-                    Ok(Value::Bool(false))
-                }
-                Some(b'1') => {
-                    *pos += 1;
-                    Ok(Value::Bool(true))
-                }
-                _ => Err(format!("bad bool token at byte {start}")),
-            }
-        }
-        Some(b'i') => {
-            *pos += 1;
-            let num_start = *pos;
-            if s.get(*pos) == Some(&b'-') {
-                *pos += 1;
-            }
-            while s.get(*pos).is_some_and(u8::is_ascii_digit) {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&s[num_start..*pos]).expect("digits are utf8");
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| format!("bad int token at byte {start}: {e}"))
-        }
-        Some(b'f') => {
-            *pos += 1;
-            let hex = s
-                .get(*pos..*pos + 8)
-                .ok_or_else(|| format!("short f32 token at byte {start}"))?;
-            let text = std::str::from_utf8(hex).map_err(|_| "non-utf8 f32 token".to_string())?;
-            let bits = u32::from_str_radix(text, 16)
-                .map_err(|e| format!("bad f32 token at byte {start}: {e}"))?;
-            *pos += 8;
-            Ok(Value::F32(f32::from_bits(bits)))
-        }
-        Some(b'p') => {
-            *pos += 1;
-            Ok(Value::Poison)
-        }
-        Some(b'v') => {
-            *pos += 1;
-            let elems = take_paren_list(s, pos, start)?;
-            Ok(Value::Vector(elems))
-        }
-        Some(b't') => {
-            *pos += 1;
-            let rows = take_u8(s, pos, b'x', start)?;
-            let cols = take_u8(s, pos, b'(', start)?;
-            *pos -= 1; // take_paren_list expects to consume the '('
-            let data = take_paren_list(s, pos, start)?;
-            Ok(Value::Tensor {
-                shape: TensorShape::new(rows, cols),
-                data,
-            })
-        }
-        other => Err(format!(
-            "unknown value token {:?} at byte {start}",
-            other.map(|&b| b as char)
-        )),
-    }
-}
-
-fn take_u8(s: &[u8], pos: &mut usize, stop: u8, start: usize) -> Result<u8, DecodeError> {
-    let num_start = *pos;
-    while s.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&s[num_start..*pos]).expect("digits are utf8");
-    let n = text
-        .parse::<u8>()
-        .map_err(|e| format!("bad tensor dim at byte {start}: {e}"))?;
-    if s.get(*pos) != Some(&stop) {
-        return Err(format!(
-            "expected {:?} after tensor dim at byte {start}",
-            stop as char
-        ));
-    }
-    *pos += 1;
-    Ok(n)
-}
-
-fn take_paren_list(s: &[u8], pos: &mut usize, start: usize) -> Result<Vec<Value>, DecodeError> {
-    if s.get(*pos) != Some(&b'(') {
-        return Err(format!("expected '(' at byte {start}"));
-    }
-    *pos += 1;
-    let mut elems = Vec::new();
-    if s.get(*pos) == Some(&b')') {
-        *pos += 1;
-        return Ok(elems);
-    }
-    loop {
-        elems.push(take_value(s, pos)?);
-        match s.get(*pos) {
-            Some(b';') => *pos += 1,
-            Some(b')') => {
-                *pos += 1;
-                return Ok(elems);
-            }
-            _ => return Err(format!("unterminated list starting at byte {start}")),
-        }
-    }
-}
-
-fn parse_value(tok: &str) -> Result<Value, DecodeError> {
-    let bytes = tok.as_bytes();
-    let mut pos = 0;
-    let v = take_value(bytes, &mut pos)?;
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes after value token {tok:?}"));
-    }
-    Ok(v)
-}
-
-// ---- line-oriented record ----
-
-struct Lines<'a> {
-    inner: std::str::Lines<'a>,
-    lineno: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn next(&mut self, what: &str) -> Result<&'a str, DecodeError> {
-        self.lineno += 1;
-        self.inner
-            .next()
-            .ok_or_else(|| format!("unexpected end of record, expected {what}"))
-    }
-
-    /// A line `"<key> <fields...>"`; returns the fields.
-    fn fields(&mut self, key: &str) -> Result<Vec<&'a str>, DecodeError> {
-        let line = self.next(key)?;
-        let mut it = line.split(' ');
-        let found = it.next().unwrap_or("");
-        if found != key {
-            return Err(format!(
-                "line {}: expected {key:?}, found {found:?}",
-                self.lineno
-            ));
-        }
-        Ok(it.collect())
-    }
-}
-
-fn parse_u64(field: &str, what: &str) -> Result<u64, DecodeError> {
-    field
-        .parse::<u64>()
-        .map_err(|e| format!("bad {what} {field:?}: {e}"))
-}
-
-fn parse_u64s(fields: &[&str], what: &str) -> Result<Vec<u64>, DecodeError> {
-    fields.iter().map(|f| parse_u64(f, what)).collect()
-}
-
-/// A counted list line: `"<key> <n> <item0> <item1> …"` with `n` items.
-fn counted<'a>(fields: &[&'a str], what: &str) -> Result<Vec<&'a str>, DecodeError> {
-    let n = parse_u64(fields.first().ok_or_else(|| format!("empty {what}"))?, what)? as usize;
-    let items = &fields[1..];
-    if items.len() != n {
-        return Err(format!("{what}: declared {n} items, found {}", items.len()));
-    }
-    Ok(items.to_vec())
-}
-
 fn put_u64_list(out: &mut String, key: &str, vals: &[u64]) {
     let _ = write!(out, "{key} {}", vals.len());
     for v in vals {
@@ -330,107 +161,255 @@ pub fn encode_eval(eval: &StoredEval) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Decode a result payload back into a [`StoredEval`].
+/// One forward pass over a record's bytes. Every token is parsed in
+/// place, so decoding allocates only the values it returns.
+struct Reader<'a> {
+    s: &'a [u8],
+    pos: usize,
+}
+
+impl Reader<'_> {
+    fn err(&self, what: &str) -> DecodeError {
+        format!("{what} at byte {}", self.pos)
+    }
+
+    /// Consume `b` or fail with `what`.
+    fn expect(&mut self, b: u8, what: &str) -> Result<(), DecodeError> {
+        if self.s.get(self.pos) == Some(&b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {what}")))
+        }
+    }
+
+    /// Consume the literal `text`.
+    fn literal(&mut self, text: &str) -> Result<(), DecodeError> {
+        let end = self.pos + text.len();
+        if self.s.get(self.pos..end) != Some(text.as_bytes()) {
+            return Err(self.err(&format!("expected {text:?}")));
+        }
+        self.pos = end;
+        Ok(())
+    }
+
+    /// A decimal `u64` exactly as `Display` writes it: at least one
+    /// digit, no sign, no leading zero.
+    fn u64(&mut self, what: &str) -> Result<u64, DecodeError> {
+        let start = self.pos;
+        let mut n: u64 = 0;
+        while let Some(d) = self.s.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            n = n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add(u64::from(d - b'0')))
+                .ok_or_else(|| self.err(&format!("{what} overflows")))?;
+            self.pos += 1;
+        }
+        match self.pos - start {
+            0 => Err(self.err(&format!("expected {what}"))),
+            1 => Ok(n),
+            _ if self.s[start] == b'0' => Err(self.err(&format!("leading zero in {what}"))),
+            _ => Ok(n),
+        }
+    }
+
+    /// A line's `"<n>"` count of items, each at least two bytes (a
+    /// separator and a token): a count the rest of the record cannot
+    /// hold is rejected before anything is allocated for it.
+    fn count(&mut self, what: &str) -> Result<usize, DecodeError> {
+        let n = self.u64(what)?;
+        let room = (self.s.len() - self.pos) / 2;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= room)
+            .ok_or_else(|| self.err(&format!("{what} {n} exceeds the record")))
+    }
+
+    /// A line `"<key> <n0> <n1> …"` of exactly `N` numbers.
+    fn u64_line<const N: usize>(&mut self, key: &str) -> Result<[u64; N], DecodeError> {
+        self.literal(key)?;
+        let mut out = [0; N];
+        for n in &mut out {
+            self.expect(b' ', "' '")?;
+            *n = self.u64(key)?;
+        }
+        self.expect(b'\n', "end of line")?;
+        Ok(out)
+    }
+
+    /// A counted line `"<key> <n> <item0> … <item n-1>"`.
+    fn counted<T>(
+        &mut self,
+        key: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        self.literal(key)?;
+        self.expect(b' ', "' '")?;
+        let n = self.count(key)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            self.expect(b' ', "' '")?;
+            out.push(item(self)?);
+        }
+        self.expect(b'\n', "end of line")?;
+        Ok(out)
+    }
+
+    /// One value token (table in the module docs).
+    fn value(&mut self) -> Result<Value, DecodeError> {
+        let Some(&tag) = self.s.get(self.pos) else {
+            return Err(self.err("expected a value token"));
+        };
+        self.pos += 1;
+        match tag {
+            b'b' => match self.s.get(self.pos) {
+                Some(&d @ (b'0' | b'1')) => {
+                    self.pos += 1;
+                    Ok(Value::Bool(d == b'1'))
+                }
+                _ => Err(self.err("bad bool token")),
+            },
+            b'i' => {
+                let neg = self.s.get(self.pos) == Some(&b'-');
+                self.pos += usize::from(neg);
+                let mag = self.u64("int")?;
+                let v = if neg {
+                    // `-0` is not how `Display` writes zero.
+                    0i64.checked_sub_unsigned(mag).filter(|_| mag != 0)
+                } else {
+                    i64::try_from(mag).ok()
+                };
+                v.map(Value::Int)
+                    .ok_or_else(|| self.err("int out of range"))
+            }
+            b'f' => {
+                let mut bits = 0u32;
+                for _ in 0..8 {
+                    let d = match self.s.get(self.pos) {
+                        Some(&c @ b'0'..=b'9') => c - b'0',
+                        Some(&c @ b'a'..=b'f') => c - b'a' + 10,
+                        _ => return Err(self.err("bad f32 token")),
+                    };
+                    bits = bits << 4 | u32::from(d);
+                    self.pos += 1;
+                }
+                Ok(Value::F32(f32::from_bits(bits)))
+            }
+            b'p' => Ok(Value::Poison),
+            b'v' => Ok(Value::Vector(self.elems()?)),
+            b't' => {
+                let rows = self.dim()?;
+                self.expect(b'x', "'x'")?;
+                let cols = self.dim()?;
+                let shape = TensorShape::new(rows, cols);
+                let data = self.elems()?;
+                if data.len() != shape.elems() as usize {
+                    return Err(self.err(&format!("{shape} tensor with {} elements", data.len())));
+                }
+                Ok(Value::Tensor { shape, data })
+            }
+            _ => {
+                self.pos -= 1;
+                Err(self.err("unknown value token"))
+            }
+        }
+    }
+
+    /// A nonzero tensor dimension.
+    fn dim(&mut self) -> Result<u8, DecodeError> {
+        let n = self.u64("tensor dim")?;
+        u8::try_from(n)
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| self.err(&format!("bad tensor dim {n}")))
+    }
+
+    /// `"(tok;tok;…)"`, possibly empty.
+    fn elems(&mut self) -> Result<Vec<Value>, DecodeError> {
+        self.expect(b'(', "'('")?;
+        let mut elems = Vec::new();
+        if self.s.get(self.pos) == Some(&b')') {
+            self.pos += 1;
+            return Ok(elems);
+        }
+        loop {
+            elems.push(self.value()?);
+            match self.s.get(self.pos) {
+                Some(b';') => self.pos += 1,
+                Some(b')') => {
+                    self.pos += 1;
+                    return Ok(elems);
+                }
+                _ => return Err(self.err("unterminated list")),
+            }
+        }
+    }
+}
+
+/// Decode a result payload back into a [`StoredEval`], in one pass.
+///
+/// The reader accepts exactly the bytes [`encode_eval`] writes: every
+/// number in its canonical form, every line `\n`-terminated, nothing
+/// after the last object. So any record it accepts re-encodes to itself.
 ///
 /// # Errors
 /// A human-readable description of the first mismatch; the store maps it
 /// to `E-STORE-DECODE` and quarantines the entry.
 pub fn decode_eval(payload: &[u8]) -> Result<StoredEval, DecodeError> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not utf8: {e}"))?;
-    let mut lines = Lines {
-        inner: text.lines(),
-        lineno: 0,
-    };
-    let header = lines.next("header")?;
-    if header != "stored-eval-v1" {
-        return Err(format!("unknown payload header {header:?}"));
-    }
-    let cycles_fields = lines.fields("cycles")?;
-    let cycles = parse_u64(
-        cycles_fields.first().ok_or("cycles line missing value")?,
-        "cycles",
-    )?;
-    let results = counted(&lines.fields("results")?, "results")?
-        .iter()
-        .map(|t| parse_value(t))
-        .collect::<Result<Vec<Value>, _>>()?;
-    let stat_fields = lines.fields("stats")?;
-    let stat_nums = parse_u64s(&stat_fields, "stats")?;
-    if stat_nums.len() != 4 {
-        return Err(format!(
-            "stats line has {} fields, expected 4",
-            stat_nums.len()
-        ));
-    }
-    let task_invocations = parse_u64s(&counted(&lines.fields("inv")?, "inv")?, "inv")?;
-    let task_busy_cycles = parse_u64s(&counted(&lines.fields("busy")?, "busy")?, "busy")?;
-    let nstructs = parse_u64(
-        lines
-            .fields("structs")?
-            .first()
-            .ok_or("structs line missing count")?,
-        "structs",
-    )? as usize;
-    let mut struct_stats = Vec::with_capacity(nstructs);
+    let mut r = Reader { s: payload, pos: 0 };
+    r.literal("stored-eval-v1\n")
+        .map_err(|_| "unknown payload header".to_string())?;
+    let [cycles] = r.u64_line("cycles")?;
+    let results = r.counted("results", Reader::value)?;
+    let [s_cycles, fires, dram_fills, sched_visits] = r.u64_line("stats")?;
+    let task_invocations = r.counted("inv", |r| r.u64("inv"))?;
+    let task_busy_cycles = r.counted("busy", |r| r.u64("busy"))?;
+    let [nstructs] = r.u64_line("structs")?;
+    let mut struct_stats = Vec::new();
     for _ in 0..nstructs {
-        let nums = parse_u64s(&lines.fields("struct")?, "struct")?;
-        if nums.len() != 7 {
-            return Err(format!("struct line has {} fields, expected 7", nums.len()));
-        }
+        let [requests, elem_txns, conflict_stalls, hits, misses, writebacks, ecc_corrected] =
+            r.u64_line("struct")?;
         struct_stats.push(StructStats {
-            requests: nums[0],
-            elem_txns: nums[1],
-            conflict_stalls: nums[2],
-            hits: nums[3],
-            misses: nums[4],
-            writebacks: nums[5],
-            ecc_corrected: nums[6],
+            requests,
+            elem_txns,
+            conflict_stalls,
+            hits,
+            misses,
+            writebacks,
+            ecc_corrected,
         });
     }
-    let fault_nums = parse_u64s(&lines.fields("faults")?, "faults")?;
-    if fault_nums.len() != 6 {
-        return Err(format!(
-            "faults line has {} fields, expected 6",
-            fault_nums.len()
-        ));
-    }
-    let faults = FaultCounts {
-        token_bit_flip: fault_nums[0],
-        token_drop: fault_nums[1],
-        token_dup: fault_nums[2],
-        stuck_handshake: fault_nums[3],
-        mem_ecc: fault_nums[4],
-        dram_timeout: fault_nums[5],
-    };
-    let bases = parse_u64s(&counted(&lines.fields("bases")?, "bases")?, "bases")?;
-    let nobjects = parse_u64(
-        lines
-            .fields("objects")?
-            .first()
-            .ok_or("objects line missing count")?,
-        "objects",
-    )? as usize;
-    let mut objects = Vec::with_capacity(nobjects);
+    let [token_bit_flip, token_drop, token_dup, stuck_handshake, mem_ecc, dram_timeout] =
+        r.u64_line("faults")?;
+    let bases = r.counted("bases", |r| r.u64("bases"))?;
+    let [nobjects] = r.u64_line("objects")?;
+    let mut objects = Vec::new();
     for _ in 0..nobjects {
-        let obj = counted(&lines.fields("obj")?, "obj")?
-            .iter()
-            .map(|t| parse_value(t))
-            .collect::<Result<Vec<Value>, _>>()?;
-        objects.push(obj);
+        objects.push(r.counted("obj", Reader::value)?);
+    }
+    if r.pos != payload.len() {
+        return Err(r.err("trailing bytes after the last object"));
     }
     Ok(StoredEval {
         result: SimResult {
             cycles,
             results,
             stats: SimStats {
-                cycles: stat_nums[0],
-                fires: stat_nums[1],
-                dram_fills: stat_nums[2],
-                sched_visits: stat_nums[3],
+                cycles: s_cycles,
+                fires,
+                dram_fills,
+                sched_visits,
                 task_invocations,
                 task_busy_cycles,
                 struct_stats,
-                faults,
+                faults: FaultCounts {
+                    token_bit_flip,
+                    token_drop,
+                    token_dup,
+                    stuck_handshake,
+                    mem_ecc,
+                    dram_timeout,
+                },
             },
             profile: None,
             trace: None,
@@ -442,6 +421,7 @@ pub fn decode_eval(payload: &[u8]) -> Result<StoredEval, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muir_core::rng::SplitMix64;
 
     fn sample_eval() -> StoredEval {
         StoredEval {
@@ -535,13 +515,226 @@ mod tests {
         assert!(decode_eval(bad.as_bytes()).is_err());
     }
 
+    /// Bit-exact equality over everything the codec persists. The
+    /// encoding is injective (floats by bits, every list counted), so
+    /// equal encodings mean equal evaluations — including NaN payloads
+    /// and `-0.0`, which `PartialEq` on `f32` cannot tell apart.
+    fn same(a: &StoredEval, b: &StoredEval) -> bool {
+        encode_eval(a) == encode_eval(b)
+    }
+
+    /// A record with every value edge: extreme integers, a NaN payload,
+    /// both zeros, poison, empty and nested vectors, a tensor.
+    fn pinned_eval() -> StoredEval {
+        let mut eval = sample_eval();
+        eval.result.results = vec![
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(0),
+            Value::F32(f32::from_bits(0x7fc0_1234)),
+            Value::F32(-0.0),
+            Value::F32(0.0),
+            Value::Poison,
+            Value::Vector(vec![]),
+            Value::Vector(vec![Value::Vector(vec![Value::Bool(true)]), Value::Poison]),
+            Value::Tensor {
+                shape: TensorShape::new(1, 2),
+                data: vec![Value::F32(1.0), Value::Int(-1)],
+            },
+        ];
+        eval
+    }
+
+    /// `encode_eval(&pinned_eval())`, pinned as a literal: the
+    /// `stored-eval-v1` bytes may not drift, or stores written by
+    /// earlier builds would stop decoding.
+    const PINNED: &str = "stored-eval-v1
+cycles 123
+results 10 i-9223372036854775808 i9223372036854775807 i0 f7fc01234 f80000000 f00000000 p v() v(v(b1);p) t1x2(f3f800000;i-1)
+stats 123 456 9 777
+inv 3 1 2 3
+busy 3 10 20 30
+structs 1
+struct 1 2 3 4 5 6 7
+faults 0 0 0 0 2 0
+bases 3 0 2 2
+objects 3
+obj 2 i5 f80000000
+obj 0
+obj 1 v(b0)
+";
+
+    #[test]
+    fn pinned_record_decodes_to_pinned_eval() {
+        let decoded = decode_eval(PINNED.as_bytes()).unwrap();
+        assert!(same(&decoded, &pinned_eval()), "{decoded:?}");
+        assert_eq!(
+            String::from_utf8(encode_eval(&pinned_eval())).unwrap(),
+            PINNED
+        );
+        match &decoded.result.results[3] {
+            Value::F32(f) => assert_eq!(f.to_bits(), 0x7fc0_1234),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn random_value(rng: &mut SplitMix64, depth: u32) -> Value {
+        let scalar = |rng: &mut SplitMix64| match rng.below(8) {
+            0 => Value::Bool(rng.below(2) == 1),
+            1 => Value::Int(rng.next_u64() as i64),
+            2 => Value::Int([i64::MIN, i64::MAX, 0, -1][rng.below(4) as usize]),
+            3 => Value::F32(f32::from_bits(rng.next_u64() as u32)),
+            4 => Value::F32([0.0, -0.0, f32::NAN, f32::INFINITY][rng.below(4) as usize]),
+            5 => Value::F32(f32::from_bits(
+                0x7f80_0001 | rng.next_u64() as u32 & 0x803f_ffff,
+            )),
+            6 => Value::Poison,
+            _ => Value::Int(rng.below(1000) as i64 - 500),
+        };
+        match rng.below(6) {
+            0 if depth > 0 => Value::Vector(
+                (0..rng.below(4))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            1 => {
+                let shape = TensorShape::new(1 + rng.below(3) as u8, 1 + rng.below(3) as u8);
+                let data = (0..shape.elems()).map(|_| scalar(rng)).collect();
+                Value::Tensor { shape, data }
+            }
+            _ => scalar(rng),
+        }
+    }
+
+    fn random_eval(rng: &mut SplitMix64) -> StoredEval {
+        let u64s = |rng: &mut SplitMix64, n: u64| -> Vec<u64> {
+            (0..n)
+                .map(|_| match rng.below(3) {
+                    0 => rng.next_u64(),
+                    1 => u64::MAX,
+                    _ => rng.below(100),
+                })
+                .collect()
+        };
+        let mut eval = sample_eval();
+        eval.result.cycles = rng.next_u64();
+        eval.result.results = (0..rng.below(5)).map(|_| random_value(rng, 2)).collect();
+        let n = rng.below(4);
+        eval.result.stats.task_invocations = u64s(rng, n);
+        eval.result.stats.task_busy_cycles = u64s(rng, n);
+        eval.result.stats.struct_stats = (0..rng.below(3))
+            .map(|_| StructStats {
+                requests: rng.next_u64(),
+                misses: rng.below(10),
+                ..StructStats::default()
+            })
+            .collect();
+        eval.result.stats.faults.dram_timeout = rng.next_u64();
+        eval.mem.objects = (0..rng.below(4))
+            .map(|_| (0..rng.below(6)).map(|_| random_value(rng, 2)).collect())
+            .collect();
+        eval.mem.bases = u64s(rng, eval.mem.objects.len() as u64);
+        eval
+    }
+
+    #[test]
+    fn seeded_round_trip_is_bit_exact() {
+        let mut rng = SplitMix64::new(0x5e_c0de);
+        for case in 0..400 {
+            let eval = random_eval(&mut rng);
+            let bytes = encode_eval(&eval);
+            let decoded = decode_eval(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert!(same(&decoded, &eval), "case {case}");
+        }
+    }
+
+    /// Damage never panics the reader, and whatever it accepts is exactly
+    /// what it was given: every proper prefix of a record is rejected,
+    /// and a one-byte substitution either still decodes to the record
+    /// its bytes spell or is rejected.
+    #[test]
+    fn damaged_records_are_rejected_or_decode_canonically() {
+        let mut rng = SplitMix64::new(0xda_0a6e);
+        let records: Vec<Vec<u8>> = [sample_eval(), pinned_eval()]
+            .iter()
+            .map(encode_eval)
+            .chain((0..6).map(|_| encode_eval(&random_eval(&mut rng))))
+            .collect();
+        const ALPHABET: &[u8] = b"0123456789abfipvtx-+();: \n\r\0\xff";
+        for bytes in &records {
+            for cut in 0..bytes.len() {
+                assert!(decode_eval(&bytes[..cut]).is_err(), "prefix {cut} accepted");
+            }
+            for _ in 0..1500 {
+                let mut bad = bytes.clone();
+                let at = rng.below(bad.len() as u64) as usize;
+                bad[at] = match rng.below(2) {
+                    0 => ALPHABET[rng.below(ALPHABET.len() as u64) as usize],
+                    _ => rng.next_u64() as u8,
+                };
+                if let Ok(eval) = decode_eval(&bad) {
+                    assert_eq!(
+                        encode_eval(&eval),
+                        bad,
+                        "byte {at} accepted as another record"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let good = encode_eval(&sample_eval());
+        for tail in [&b"obj 0\n"[..], b"\n", b" ", b"x"] {
+            let bad = [good.as_slice(), tail].concat();
+            let err = decode_eval(&bad).unwrap_err();
+            assert!(err.contains("trailing bytes"), "{err}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_numbers_are_rejected() {
+        let text = String::from_utf8(encode_eval(&sample_eval())).unwrap();
+        for (from, to) in [
+            ("cycles 123", "cycles 0123"),
+            ("cycles 123", "cycles +123"),
+            ("i5 ", "i05 "),
+            ("i5 ", "i-0 "),
+            ("results 7", "results 07"),
+            ("t2x2", "t0x2"),
+            ("t2x2", "t2x3"),
+            ("cycles 123", "cycles 99999999999999999999"),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let bad = text.replacen(from, to, 1);
+            assert!(decode_eval(bad.as_bytes()).is_err(), "{to} accepted");
+        }
+        let bad = text.replacen("stats 123", "stats  123", 1);
+        assert!(
+            decode_eval(bad.as_bytes()).is_err(),
+            "double space accepted"
+        );
+        let upper = text.replacen("f3fc00000", "f3FC00000", 1);
+        assert_ne!(upper, text);
+        assert!(
+            decode_eval(upper.as_bytes()).is_err(),
+            "uppercase hex accepted"
+        );
+    }
+
     #[test]
     fn value_tokens_are_whitespace_free() {
         for v in sample_eval().result.results {
             let mut s = String::new();
             put_value(&mut s, &v);
             assert!(!s.contains(' '), "{s}");
-            assert_eq!(parse_value(&s).unwrap(), v);
+            let mut r = Reader {
+                s: s.as_bytes(),
+                pos: 0,
+            };
+            assert_eq!(r.value().unwrap(), v);
+            assert_eq!(r.pos, s.len());
         }
     }
 }

@@ -108,6 +108,31 @@ fn checksum_mismatch_is_quarantined_and_recoverable() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// A record that validates as an envelope but carries a line after its
+/// last object is not guessed at: it is a decode error, quarantined, and
+/// the slot recovers like any other corrupt entry.
+#[test]
+fn appended_line_is_rejected_and_quarantined() {
+    let root = test_root("appended");
+    let (comp, cfg, eval) = sample_eval();
+    let key = ResultKey::new(&comp, &cfg, &[], &eval.mem);
+    let mut store = Store::open(&root);
+    let mut payload = codec::encode_eval(&eval);
+    payload.extend_from_slice(b"obj 0\n");
+    let path = store.result_path(key);
+    fs::write(&path, envelope::seal(PayloadKind::SimResult, &payload)).unwrap();
+    let err = store.get_result(key).unwrap_err();
+    assert_eq!(err.code(), "E-STORE-DECODE", "{err}");
+    assert!(err.to_string().contains("trailing bytes"), "{err}");
+    assert_eq!(store.quarantine_len(), 1, "evidence kept");
+    assert!(store.get_result(key).unwrap().is_none(), "clean miss after");
+    store.put_result(key, &eval).unwrap();
+    assert_eq!(store.get_result(key).unwrap().unwrap(), eval);
+    let s = store.stats();
+    assert_eq!((s.corrupt_entries, s.quarantined), (1, 1));
+    let _ = fs::remove_dir_all(&root);
+}
+
 #[test]
 fn injected_stale_version_surfaces_version_skew() {
     let root = test_root("skew");

@@ -21,7 +21,9 @@
 # scripts/trace_schema.json and scripts/metrics_schema.json), and the
 # DSE smoke gate (a 2-workload seeded sweep through the eval service,
 # run cold@1-thread then warm@2-threads over one store: the reports
-# must validate against scripts/dse_schema.json and byte-match). Each
+# must validate against scripts/dse_schema.json and byte-match), and the
+# checked-in output gate (`experiments all` must reproduce
+# experiments_output.txt byte for byte). Each
 # tool-dependent stage is skipped (not failed) when its tool is
 # missing, so the script works in minimal containers.
 set -eu
@@ -91,5 +93,8 @@ cargo run --release -q -p muir-bench --bin experiments -- dse \
     --store target/dse-check/store --out target/dse-check/warm.json
 cmp target/dse-check/cold.json target/dse-check/warm.json
 echo "dse reports byte-identical across threads 1/2 and cold/warm store"
+
+echo "== checked-in outputs (experiments all vs experiments_output.txt) =="
+cargo run --release -q -p muir-bench --bin experiments -- all | diff -u experiments_output.txt -
 
 echo "check.sh: OK"
